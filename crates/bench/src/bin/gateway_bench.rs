@@ -559,9 +559,7 @@ fn run_chaos_smoke(o: &Opts, p: &Processed) {
     let insts = &p.eval[..n_inst];
     let serve_cfg = ServeConfig {
         top_k: o.top_k as usize,
-        workers: 0,
         pruning: PruningPolicy::Full,
-        arena: true,
         ..Default::default()
     };
     let epoch_seed = |e: u64| 500 + e;
@@ -840,9 +838,7 @@ fn main() {
 
     let serve_cfg = ServeConfig {
         top_k: o.top_k as usize,
-        workers: 0,
         pruning: PruningPolicy::Full,
-        arena: true,
         ..Default::default()
     };
 

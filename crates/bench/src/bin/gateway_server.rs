@@ -10,9 +10,9 @@
 //!     [--top-k k] [--seed s] [--self-load qps]
 //! ```
 //!
-//! Worker-count precedence: `--workers` > the `STISAN_WORKERS` environment
-//! variable > the `min(cores, 8)` heuristic (see README, "Serving over the
-//! network"). Talk to it with `gateway_bench` or any `GatewayClient`.
+//! `--workers 0` (the default) sizes the batch pool by the `min(cores, 8)`
+//! rule (see README, "Serving over the network"). Talk to it with
+//! `gateway_bench` or any `GatewayClient`.
 //!
 //! `--admin` additionally binds the observability endpoint (`GET /metrics`
 //! in Prometheus text format, `/healthz`, `/flightrec`, `/traces`, and the
@@ -125,9 +125,7 @@ fn main() {
         &p,
         ServeConfig {
             top_k: o.top_k,
-            workers: 0,
             pruning: PruningPolicy::Full,
-            arena: true,
             ..Default::default()
         },
     );

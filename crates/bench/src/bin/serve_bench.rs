@@ -222,9 +222,7 @@ fn main() {
         &p,
         ServeConfig {
             top_k: o.top_k,
-            workers: 0,
             pruning: PruningPolicy::Radius { km: o.radius_km, min_candidates: o.min_candidates },
-            arena: true,
             ..Default::default()
         },
     );

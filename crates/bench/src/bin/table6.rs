@@ -1,6 +1,7 @@
 //! **Table VI** — computational complexity: FLOPs of the 4-layer vanilla
 //! self-attention mechanism (SA) vs IAAB, per dataset, plus measured
-//! wall-clock latency of the two attention flavours on this machine.
+//! wall-clock latency of the two attention flavours on this machine, and of
+//! vanilla vs time-aware position encoding (TAPE, the paper's O(n) claim).
 //!
 //! ```text
 //! cargo run -p stisan-bench --bin table6 --release
@@ -11,7 +12,10 @@ use rand::SeedableRng;
 use stisan_bench::{timed_reps, Flags};
 use stisan_core::flops::{iaab_flops, iaab_overhead, sa_flops};
 use stisan_data::DatasetPreset;
-use stisan_nn::{attention, causal_mask, ParamStore, Session};
+use stisan_nn::{
+    attention, causal_mask, sinusoidal_encoding, tape_positions, vanilla_positions, ParamStore,
+    Session,
+};
 use stisan_tensor::Array;
 
 fn main() {
@@ -63,4 +67,23 @@ fn main() {
     println!("  SA   attention: {t_sa:.3} ms/sequence");
     println!("  IAAB attention: {t_iaab:.3} ms/sequence  ({:+.2}%)", (t_iaab - t_sa) / t_sa * 100.0);
     println!("\npaper's claim: the point-wise relation addition is negligible (<= 0.01M FLOPs).");
+
+    // TAPE vs vanilla PE: both encode n positions in O(n·d); TAPE only adds
+    // an O(n) pass over the time intervals.
+    let pe_dim = 64;
+    println!("\nposition encoding, d = {pe_dim} ({reps} reps):");
+    for pe_len in [100usize, 1000] {
+        let times: Vec<f64> =
+            (0..pe_len).map(|i| i as f64 * 3600.0 * (1.0 + (i % 7) as f64)).collect();
+        let t_pe = timed_reps("pe_vanilla", reps, || {
+            std::hint::black_box(sinusoidal_encoding(&vanilla_positions(pe_len), pe_dim));
+        }) * 1e3;
+        let t_tape = timed_reps("pe_tape", reps, || {
+            std::hint::black_box(sinusoidal_encoding(&tape_positions(&times, 0), pe_dim));
+        }) * 1e3;
+        println!(
+            "  n = {pe_len:>4}: vanilla PE {t_pe:.4} ms, TAPE {t_tape:.4} ms  ({:+.2}%)",
+            (t_tape - t_pe) / t_pe * 100.0
+        );
+    }
 }

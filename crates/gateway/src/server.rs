@@ -89,10 +89,8 @@ pub struct GatewayConfig {
     /// Micro-batching policy (batch bound, coalescing window, queue bound).
     pub batch: BatchPolicy,
     /// Worker threads per scored batch. `0` resolves at startup via
-    /// [`stisan_tensor::suggested_workers`] — which honours the
-    /// `STISAN_WORKERS` environment variable — sized for a full batch.
-    /// Precedence: this field, then `STISAN_WORKERS`, then the
-    /// `min(cores, 8)` heuristic.
+    /// [`stisan_tensor::suggested_workers`] (`min(cores, 8)`), sized for a
+    /// full batch.
     pub workers: usize,
     /// Longest a connection may sit without sending a byte (between frames
     /// or mid-frame) before it is closed.
@@ -371,8 +369,8 @@ impl Gateway {
 
     /// Runs the gateway until shutdown, then drains, writes the shutdown
     /// flight dump, and returns the run's stats. The worker count is
-    /// resolved once, up front (explicit config beats `STISAN_WORKERS`
-    /// beats the core heuristic). The backend is any [`EngineBackend`] — a
+    /// resolved once, up front (explicit config beats the core heuristic).
+    /// The backend is any [`EngineBackend`] — a
     /// plain `InferenceSession` or a supervised `ReplicatedEngine`.
     pub fn serve<B: EngineBackend>(self, backend: &B) -> io::Result<GatewayStats> {
         self.serve_inner(backend, None)

@@ -28,7 +28,6 @@
 use std::io::{self, Read};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stisan_tensor::Array;
 
 use crate::checkpoint::write_atomic;
@@ -111,81 +110,130 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// Little-endian writers over a plain byte vector.
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f32s(buf: &mut Vec<u8>, data: &[f32]) {
+    for &v in data {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Little-endian cursor over a checkpoint payload. Every read is
+/// bounds-checked: running out of bytes is a [`LoadError::Format`] naming
+/// the field being read, never a panic.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], LoadError> {
+        if self.rest.len() < n {
+            return Err(LoadError::Format(format!("truncated reading {what}")));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], LoadError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N, what)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, LoadError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, LoadError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, LoadError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// `n` consecutive f32s.
+    fn f32s(&mut self, n: usize, what: &str) -> Result<Vec<f32>, LoadError> {
+        let bytes = self.take(n.saturating_mul(4), what)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
+    }
+}
+
 impl ParamStore {
-    fn put_params(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
+    fn put_params(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.len() as u32);
         for id in self.ids() {
             let name = self.name(id).as_bytes();
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name);
+            put_u32(buf, name.len() as u32);
+            buf.extend_from_slice(name);
             let value = self.value(id);
-            buf.put_u32_le(value.ndim() as u32);
+            put_u32(buf, value.ndim() as u32);
             for &d in value.shape() {
-                buf.put_u64_le(d as u64);
+                put_u64(buf, d as u64);
             }
-            for &v in value.data() {
-                buf.put_f32_le(v);
-            }
+            put_f32s(buf, value.data());
         }
     }
 
     /// Serializes every parameter (names, shapes, values) to a v2 byte
     /// buffer with no trainer state. See [`ParamStore::to_bytes_with`].
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         self.to_bytes_with(None)
     }
 
     /// Serializes the store, and optionally full trainer state, as format v2
     /// with a CRC32 footer.
-    pub fn to_bytes_with(&self, trainer: Option<&TrainState>) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
+    pub fn to_bytes_with(&self, trainer: Option<&TrainState>) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        put_u32(&mut buf, VERSION);
         self.put_params(&mut buf);
         match trainer {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(ts) => {
-                buf.put_u8(1);
-                buf.put_u64_le(ts.adam.t);
-                buf.put_u32_le(self.len() as u32);
+                buf.push(1);
+                put_u64(&mut buf, ts.adam.t);
+                put_u32(&mut buf, self.len() as u32);
                 for i in 0..self.len() {
                     let m = ts.adam.m.get(i).and_then(|o| o.as_ref());
                     let v = ts.adam.v.get(i).and_then(|o| o.as_ref());
                     match (m, v) {
                         (Some(m), Some(v)) => {
-                            buf.put_u8(1);
-                            buf.put_u64_le(m.len() as u64);
-                            for &x in m.data() {
-                                buf.put_f32_le(x);
-                            }
-                            for &x in v.data() {
-                                buf.put_f32_le(x);
-                            }
+                            buf.push(1);
+                            put_u64(&mut buf, m.len() as u64);
+                            put_f32s(&mut buf, m.data());
+                            put_f32s(&mut buf, v.data());
                         }
-                        _ => buf.put_u8(0),
+                        _ => buf.push(0),
                     }
                 }
-                buf.put_u64_le(ts.epochs_done);
-                buf.put_u64_le(ts.rng_seed);
+                put_u64(&mut buf, ts.epochs_done);
+                put_u64(&mut buf, ts.rng_seed);
             }
         }
-        let body = buf.freeze();
-        let crc = crc32(&body);
-        let mut out = BytesMut::with_capacity(body.len() + 4);
-        out.put_slice(&body);
-        out.put_u32_le(crc);
-        out.freeze()
+        let crc = crc32(&buf);
+        put_u32(&mut buf, crc);
+        buf
     }
 
     /// Serializes in the legacy v1 layout (weights only, no CRC). Kept so
     /// compatibility with pre-existing checkpoints stays covered by tests;
     /// new code should write v2 via [`ParamStore::to_bytes`].
-    pub fn to_bytes_v1(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V1);
+    pub fn to_bytes_v1(&self) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        put_u32(&mut buf, VERSION_V1);
         self.put_params(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Restores parameter *values* (and, for v2 checkpoints that carry it,
@@ -198,21 +246,11 @@ impl ParamStore {
     /// mutated: on any error the store is untouched. Returns the embedded
     /// [`TrainState`] when present (`None` for v1 or weights-only files).
     pub fn load_bytes(&mut self, buf: &[u8]) -> Result<Option<TrainState>, LoadError> {
-        let mut cur = buf;
-        let need = |cur: &&[u8], n: usize, what: &str| -> Result<(), LoadError> {
-            if cur.remaining() < n {
-                Err(LoadError::Format(format!("truncated reading {what}")))
-            } else {
-                Ok(())
-            }
-        };
-        need(&cur, 8, "header")?;
-        let mut magic = [0u8; 4];
-        cur.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let mut cur = Reader { rest: buf };
+        if cur.array::<4>("header")? != *MAGIC {
             return Err(LoadError::Format("missing STSN magic".into()));
         }
-        let version = cur.get_u32_le();
+        let version = cur.u32("header")?;
         if version != VERSION_V1 && version != VERSION {
             return Err(LoadError::Format(format!("unsupported version {version}")));
         }
@@ -220,29 +258,23 @@ impl ParamStore {
             // Integrity first: the CRC covers everything before the footer,
             // so any torn write, truncation or bit flip is caught before we
             // interpret a single field.
-            if buf.len() < 12 {
-                return Err(LoadError::Format("truncated before crc footer".into()));
-            }
-            let body = &buf[..buf.len() - 4];
-            let stored = u32::from_le_bytes([
-                buf[buf.len() - 4],
-                buf[buf.len() - 3],
-                buf[buf.len() - 2],
-                buf[buf.len() - 1],
-            ]);
+            let (body, footer) = match buf.split_last_chunk::<4>() {
+                Some(split) if buf.len() >= 12 => split,
+                _ => return Err(LoadError::Format("truncated before crc footer".into())),
+            };
+            let stored = u32::from_le_bytes(*footer);
             let computed = crc32(body);
             if stored != computed {
                 return Err(LoadError::Format(format!(
                     "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
                 )));
             }
-            cur = &body[8..]; // past magic+version, excluding the footer
+            cur.rest = &body[8..]; // past magic+version, excluding the footer
         }
 
         // Parse phase: build everything in scratch space, validating against
         // the store, without mutating it.
-        need(&cur, 4, "param count")?;
-        let count = cur.get_u32_le() as usize;
+        let count = cur.u32("param count")? as usize;
         if count != self.len() {
             return Err(LoadError::Mismatch(format!(
                 "checkpoint has {count} params, store has {}",
@@ -251,12 +283,8 @@ impl ParamStore {
         }
         let mut values = Vec::with_capacity(count);
         for id in self.ids() {
-            need(&cur, 4, "name length")?;
-            let name_len = cur.get_u32_le() as usize;
-            need(&cur, name_len, "name")?;
-            let mut name = vec![0u8; name_len];
-            cur.copy_to_slice(&mut name);
-            let name = String::from_utf8(name)
+            let name_len = cur.u32("name length")? as usize;
+            let name = String::from_utf8(cur.take(name_len, "name")?.to_vec())
                 .map_err(|_| LoadError::Format("non-utf8 parameter name".into()))?;
             if name != self.name(id) {
                 return Err(LoadError::Mismatch(format!(
@@ -264,33 +292,24 @@ impl ParamStore {
                     self.name(id)
                 )));
             }
-            need(&cur, 4, "ndim")?;
-            let ndim = cur.get_u32_le() as usize;
-            need(&cur, ndim * 8, "shape")?;
-            let mut shape = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                shape.push(cur.get_u64_le() as usize);
-            }
+            let ndim = cur.u32("ndim")? as usize;
+            let shape = (0..ndim)
+                .map(|_| cur.u64("shape").map(|d| d as usize))
+                .collect::<Result<Vec<_>, _>>()?;
             if shape != self.value(id).shape() {
                 return Err(LoadError::Mismatch(format!(
                     "shape mismatch for '{name}': checkpoint {shape:?} vs store {:?}",
                     self.value(id).shape()
                 )));
             }
-            let n: usize = shape.iter().product();
-            need(&cur, n * 4, "data")?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(cur.get_f32_le());
-            }
+            let data = cur.f32s(shape.iter().product(), "data")?;
             values.push(Array::from_vec(shape, data));
         }
 
         let trainer = if version == VERSION {
-            need(&cur, 1, "trainer flag")?;
-            match cur.get_u8() {
+            match cur.u8("trainer flag")? {
                 0 => None,
-                1 => Some(self.parse_trainer(&mut cur, need)?),
+                1 => Some(self.parse_trainer(&mut cur)?),
                 other => {
                     return Err(LoadError::Format(format!("bad trainer flag {other}")));
                 }
@@ -299,8 +318,8 @@ impl ParamStore {
             None
         };
 
-        if cur.has_remaining() {
-            return Err(LoadError::Format(format!("{} trailing bytes", cur.remaining())));
+        if !cur.rest.is_empty() {
+            return Err(LoadError::Format(format!("{} trailing bytes", cur.rest.len())));
         }
 
         // Commit phase: nothing below can fail.
@@ -310,14 +329,9 @@ impl ParamStore {
         Ok(trainer)
     }
 
-    fn parse_trainer(
-        &self,
-        cur: &mut &[u8],
-        need: impl Fn(&&[u8], usize, &str) -> Result<(), LoadError>,
-    ) -> Result<TrainState, LoadError> {
-        need(cur, 12, "adam header")?;
-        let t = cur.get_u64_le();
-        let slots = cur.get_u32_le() as usize;
+    fn parse_trainer(&self, cur: &mut Reader) -> Result<TrainState, LoadError> {
+        let t = cur.u64("adam header")?;
+        let slots = cur.u32("adam header")? as usize;
         if slots != self.len() {
             return Err(LoadError::Mismatch(format!(
                 "trainer state has {slots} slots, store has {} params",
@@ -327,14 +341,12 @@ impl ParamStore {
         let mut m = Vec::with_capacity(slots);
         let mut v = Vec::with_capacity(slots);
         for id in self.ids() {
-            need(cur, 1, "adam slot flag")?;
-            if cur.get_u8() == 0 {
+            if cur.u8("adam slot flag")? == 0 {
                 m.push(None);
                 v.push(None);
                 continue;
             }
-            need(cur, 8, "adam slot length")?;
-            let len = cur.get_u64_le() as usize;
+            let len = cur.u64("adam slot length")? as usize;
             let expect = self.value(id).len();
             if len != expect {
                 return Err(LoadError::Mismatch(format!(
@@ -342,22 +354,14 @@ impl ParamStore {
                     self.name(id)
                 )));
             }
-            need(cur, len * 8, "adam moments")?;
             let shape = self.value(id).shape().to_vec();
-            let mut md = Vec::with_capacity(len);
-            for _ in 0..len {
-                md.push(cur.get_f32_le());
-            }
-            let mut vd = Vec::with_capacity(len);
-            for _ in 0..len {
-                vd.push(cur.get_f32_le());
-            }
+            let md = cur.f32s(len, "adam moments")?;
+            let vd = cur.f32s(len, "adam moments")?;
             m.push(Some(Array::from_vec(shape.clone(), md)));
             v.push(Some(Array::from_vec(shape, vd)));
         }
-        need(cur, 16, "epoch counter and rng seed")?;
-        let epochs_done = cur.get_u64_le();
-        let rng_seed = cur.get_u64_le();
+        let epochs_done = cur.u64("epoch counter and rng seed")?;
+        let rng_seed = cur.u64("epoch counter and rng seed")?;
         Ok(TrainState { adam: AdamState { t, m, v }, epochs_done, rng_seed })
     }
 
@@ -466,7 +470,7 @@ mod tests {
     #[test]
     fn crc_rejects_any_single_flipped_bit() {
         let src = sample_store(1);
-        let bytes = src.to_bytes_with(Some(&sample_trainer(&src))).to_vec();
+        let bytes = src.to_bytes_with(Some(&sample_trainer(&src)));
         // Flip one bit in a spread of positions across the file (including
         // the footer itself) — every corruption must be rejected, and the
         // destination store must stay exactly as it was.

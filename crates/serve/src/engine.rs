@@ -55,18 +55,8 @@ pub enum PruningPolicy {
 pub struct ServeConfig {
     /// Recommendations returned per request.
     pub top_k: usize,
-    /// Worker threads for [`InferenceSession::serve_batch`]; `0` picks
-    /// automatically via [`stisan_tensor::suggested_workers`] (the same
-    /// heuristic `Array::bmm` fans out with).
-    pub workers: usize,
     /// Candidate pruning policy.
     pub pruning: PruningPolicy,
-    /// Serve forward passes from recycled arena buffers
-    /// ([`FrozenScorer::score_frozen_into`]); off falls back to fresh-alloc
-    /// [`FrozenScorer::score_frozen`]. Scores are bit-identical either way
-    /// (the arena parity suite asserts it) — this switch exists for A/B
-    /// benchmarking and as an operational escape hatch.
-    pub arena: bool,
     /// Precision of the candidate-embedding table under
     /// [`PruningPolicy::TwoStage`] (ignored by the other policies):
     /// `F32` scores exactly through the model's own table; `F16`/`I8`
@@ -77,14 +67,11 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Top-10, automatic worker count, no pruning, arena-backed scoring,
-    /// exact (f32) tables.
+    /// Top-10, no pruning, exact (f32) tables.
     fn default() -> Self {
         ServeConfig {
             top_k: 10,
-            workers: 0,
             pruning: PruningPolicy::Full,
-            arena: true,
             quant: QuantLevel::F32,
         }
     }
@@ -316,8 +303,9 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
     }
 
     /// Serves one request into caller-provided storage: prune, score on the
-    /// frozen backend, select top-K. With [`ServeConfig::arena`] on, a
-    /// warmed-up `scratch` makes the whole call allocation-free under
+    /// frozen backend (from `scratch`'s recycled arena buffers via
+    /// [`FrozenScorer::score_frozen_into`]), select top-K. A warmed-up
+    /// `scratch` makes the whole call allocation-free under
     /// [`PruningPolicy::Full`] (`tests/zero_alloc.rs`); results are always
     /// bit-identical to [`InferenceSession::serve_one`].
     ///
@@ -388,7 +376,7 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
                 &mut scratch.scores,
             );
             scratch.arena.recycle_array(embeds);
-        } else if self.cfg.arena {
+        } else {
             self.model.score_frozen_into(
                 self.data,
                 inst,
@@ -396,10 +384,6 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
                 &mut scratch.arena,
                 &mut scratch.scores,
             );
-        } else {
-            let scores = self.model.score_frozen(self.data, inst, &scratch.cands);
-            scratch.scores.clear();
-            scratch.scores.extend_from_slice(&scores);
         }
         top_k_into(&scratch.scores, self.cfg.top_k, &mut scratch.topk, &mut scratch.ranked);
         rec.items.clear();
@@ -437,22 +421,18 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
     ///
     /// Each worker owns a disjoint slice of the output, so results are
     /// position-for-position identical to a sequential [`serve_one`] loop
-    /// (workers share nothing but the frozen weights). Worker count follows
-    /// [`ServeConfig::workers`]. Records `serve.batch_size`.
+    /// (workers share nothing but the frozen weights). Worker count is
+    /// [`suggested_workers`] for the batch size. Records `serve.batch_size`.
     ///
     /// [`serve_one`]: InferenceSession::serve_one
     pub fn serve_batch(&self, insts: &[EvalInstance]) -> Vec<Recommendation> {
-        let workers = match self.cfg.workers {
-            0 => suggested_workers(insts.len()),
-            w => w,
-        };
-        self.serve_batch_on(insts, workers)
+        self.serve_batch_on(insts, suggested_workers(insts.len()))
     }
 
     /// [`serve_batch`] with an explicit worker count — the batch-scoring
     /// entry point for callers that pre-group requests themselves (the
     /// gateway's micro-batcher hands its batches here, with the pool size it
-    /// resolved at startup), bypassing [`ServeConfig::workers`].
+    /// resolved at startup).
     ///
     /// `workers` is clamped to `1..=insts.len()`; results are
     /// position-for-position identical to a sequential [`serve_one`] loop
@@ -516,11 +496,12 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
         }
         let mut out: Vec<Option<Recommendation>> = vec![None; insts.len()];
         let chunk = insts.len().div_ceil(workers);
-        let scope = crossbeam::thread::scope(|scope| {
+        // A panicking worker re-raises here once its siblings finish.
+        std::thread::scope(|scope| {
             for ((in_chunk, out_chunk), tr_chunk) in
                 insts.chunks(chunk).zip(out.chunks_mut(chunk)).zip(slots.chunks_mut(chunk))
             {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // One scratch per worker for the whole chunk: requests on
                     // a worker reuse each other's warmed buffers.
                     let mut scratch = self.checkout_scratch();
@@ -538,9 +519,6 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
                 });
             }
         });
-        if scope.is_err() {
-            panic!("serve_batch: a worker thread panicked");
-        }
         let results: Vec<Recommendation> = out.into_iter().flatten().collect();
         assert_eq!(results.len(), insts.len(), "serve_batch: lost results");
         results
@@ -648,12 +626,11 @@ mod tests {
         let s = InferenceSession::new(&NearLast, &p, ServeConfig::default());
         let seq: Vec<Recommendation> = p.eval.iter().map(|i| s.serve_one(i)).collect();
         for workers in [0usize, 1, 2, 7] {
-            let s = InferenceSession::new(
-                &NearLast,
-                &p,
-                ServeConfig { workers, ..ServeConfig::default() },
-            );
-            let par = s.serve_batch(&p.eval);
+            // 0 = `serve_batch`'s automatic worker count.
+            let par = match workers {
+                0 => s.serve_batch(&p.eval),
+                w => s.serve_batch_on(&p.eval, w),
+            };
             assert_eq!(par.len(), seq.len());
             for (a, b) in par.iter().zip(&seq) {
                 assert_eq!(a.items, b.items, "workers={workers}");

@@ -17,10 +17,9 @@
 //!   embedding table held at [`ServeConfig::quant`] precision
 //!   (f32/f16/int8), the million-POI serving path of DESIGN.md §15.
 //! * **Parallel batches** — [`InferenceSession::serve_batch`] fans requests
-//!   out over crossbeam scoped threads sized by
-//!   [`stisan_tensor::suggested_workers`] (tunable in deployment via the
-//!   `STISAN_WORKERS` environment variable), each worker writing a disjoint
-//!   output slice. [`InferenceSession::serve_batch_on`] is the same scorer
+//!   out over `std::thread::scope` threads sized by
+//!   [`stisan_tensor::suggested_workers`] (`min(cores, 8)`), each worker
+//!   writing a disjoint output slice. [`InferenceSession::serve_batch_on`] is the same scorer
 //!   with an explicit worker count — the entry point the `stisan-gateway`
 //!   micro-batcher feeds with pre-grouped network requests.
 //! * **Bounded top-K** — [`top_k`] selects recommendations in `O(n log k)`

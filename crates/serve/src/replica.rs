@@ -422,15 +422,15 @@ impl<M: FrozenScorer + Send + Sync> EngineBackend for ReplicatedEngine<'_, M> {
         }
 
         // Score every non-empty group in its own thread behind the panic
-        // boundary. catch_unwind sits INSIDE the spawned thread: crossbeam
-        // would otherwise convert a child panic into a scope error and
-        // re-raise it on join.
+        // boundary. catch_unwind sits INSIDE the spawned thread: the scope
+        // would otherwise re-raise a child panic on the caller once every
+        // thread has joined.
         let active: Vec<&GroupCtx> =
             groups.iter().filter(|g| !plock(&g.pending).is_empty()).collect();
-        let scope_ok = crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for g in &active {
                 let epoch = &epoch;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let t0 = Instant::now();
                     // Epoch-shared retrieval state: replicas never rebuild
                     // the quadkey index or requantize the table per batch.
@@ -455,9 +455,7 @@ impl<M: FrozenScorer + Send + Sync> EngineBackend for ReplicatedEngine<'_, M> {
                     g.elapsed_us.store(t0.elapsed().as_micros() as u64, Ordering::SeqCst);
                 });
             }
-        })
-        .is_ok();
-        debug_assert!(scope_ok, "group panics are caught inside the threads");
+        });
         drop(active);
 
         // Harvest: successes, then supervision for panicked groups.
@@ -732,13 +730,20 @@ mod tests {
         let scorer = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 1), plan.clone());
         let session = InferenceSession::new(&scorer, &p, ServeConfig::default());
         crate::chaos::silence_chaos_panics();
-        plan.arm_panic(1);
-        let mut tr: Vec<TraceCtx> = (0..2).map(|i| TraceCtx::new(i as u64)).collect();
-        let outs = EngineBackend::serve_outcomes(&session, &p.eval[..2], 1, &mut tr);
-        assert_eq!(outs.len(), 2);
-        assert!(outs.iter().all(|o| matches!(o, Err(ServeFailure::ReplicaPanic { replica: 0 }))));
-        // And a healthy call still works through the trait.
-        let outs = EngineBackend::serve_outcomes(&session, &p.eval[..2], 1, &mut tr);
-        assert!(outs.iter().all(|o| o.is_ok()));
+        // workers = 1 is the sequential path; 2 fans out on scoped threads,
+        // where the panic crosses a thread boundary before it is caught.
+        for workers in [1usize, 2] {
+            plan.arm_panic(1);
+            let mut tr: Vec<TraceCtx> = (0..2).map(|i| TraceCtx::new(i as u64)).collect();
+            let outs = EngineBackend::serve_outcomes(&session, &p.eval[..2], workers, &mut tr);
+            assert_eq!(outs.len(), 2);
+            assert!(
+                outs.iter().all(|o| matches!(o, Err(ServeFailure::ReplicaPanic { replica: 0 }))),
+                "workers={workers}"
+            );
+            // And a healthy call still works through the trait.
+            let outs = EngineBackend::serve_outcomes(&session, &p.eval[..2], workers, &mut tr);
+            assert!(outs.iter().all(|o| o.is_ok()), "workers={workers}");
+        }
     }
 }

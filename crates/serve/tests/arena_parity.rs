@@ -1,15 +1,15 @@
 //! Arena-serving parity: `FrozenScorer::score_frozen_into` drawing every
 //! scratch buffer from a recycled (even poisoned) arena must be
 //! **bit-for-bit** identical to fresh-allocation frozen scoring — and both
-//! to the tape. This is the guarantee that lets the engine default to
-//! `ServeConfig::arena` without any numerical risk (DESIGN.md §14).
+//! to the tape. This is the guarantee that lets the engine serve every
+//! request from arena buffers without any numerical risk (DESIGN.md §14).
 
 use stisan_core::{StiSan, StisanConfig};
 use stisan_data::{generate, preprocess, DatasetPreset, GenConfig, PrepConfig, Processed};
 use stisan_eval::{build_candidates, FrozenScorer};
 use stisan_models::common::TrainConfig;
 use stisan_models::{AttentionMode, PositionMode, SasRec};
-use stisan_serve::{InferenceSession, ServeConfig};
+use stisan_serve::{top_k, InferenceSession, Recommendation, ServeConfig};
 use stisan_tensor::Arena;
 
 fn processed() -> Processed {
@@ -116,29 +116,32 @@ fn poisoned_arena_reserve_is_bitwise_stable() {
     assert!(arena.stats().hits > 0, "arena never hit: {:?}", arena.stats());
 }
 
-/// The engine's arena mode and fresh-alloc mode return identical
-/// recommendations, and `serve_one` equals an explicit
-/// `serve_one_into` + scratch reuse loop.
+/// The engine's arena-backed serving returns, bit for bit, what fresh-alloc
+/// scoring ranks: `serve_one_into` with a reused scratch equals the
+/// reference `score_frozen` + `top_k` over the same candidates, and
+/// `serve_one` equals `serve_one_into`.
 #[test]
 fn engine_arena_mode_matches_fresh_mode() {
     let p = processed();
     let mut m = StiSan::new(&p, StisanConfig { train: tiny_train(), ..Default::default() });
     m.fit(&p);
 
-    let with_arena = InferenceSession::new(&m, &p, ServeConfig { arena: true, ..Default::default() });
-    let without = InferenceSession::new(&m, &p, ServeConfig { arena: false, ..Default::default() });
-
-    let mut scratch = with_arena.checkout_scratch();
-    let mut rec = stisan_serve::Recommendation::default();
+    let session = InferenceSession::new(&m, &p, ServeConfig::default());
+    let k = session.config().top_k;
+    let mut scratch = session.checkout_scratch();
+    let mut rec = Recommendation::default();
     for inst in &p.eval {
-        let a = with_arena.serve_one(inst);
-        let b = without.serve_one(inst);
-        assert_eq!(a.items, b.items, "arena flag changed recommendations");
-        assert_eq!(a.scored, b.scored);
-        with_arena.serve_one_into(inst, &mut scratch, &mut rec);
-        assert_eq!(a.items, rec.items, "serve_one_into diverged from serve_one");
+        let cands = session.candidates(inst);
+        let scores = m.score_frozen(&p, inst, &cands);
+        let reference: Vec<(u32, u32)> =
+            top_k(&scores, k).into_iter().map(|(i, s)| (cands[i], s.to_bits())).collect();
+        session.serve_one_into(inst, &mut scratch, &mut rec);
+        let served: Vec<(u32, u32)> = rec.items.iter().map(|&(id, s)| (id, s.to_bits())).collect();
+        assert_eq!(served, reference, "arena serving diverged from fresh-alloc scoring");
+        assert_eq!(rec.scored, cands.len());
+        assert_eq!(session.serve_one(inst).items, rec.items, "serve_one diverged from serve_one_into");
     }
-    with_arena.checkin_scratch(scratch);
+    session.checkin_scratch(scratch);
 }
 
 /// Batch serving with arena scratch pooling matches the sequential loop for

@@ -356,9 +356,9 @@ impl Array {
     /// Batched matrix product `[b,m,k] x [b,k,n] -> [b,m,n]`.
     ///
     /// Large batches (beyond [`BMM_PARALLEL_FLOPS`] multiply-adds) fan out
-    /// across threads with crossbeam scoped threads; per-slice results are
-    /// identical to the sequential path because each thread owns a disjoint
-    /// output slice.
+    /// across `std::thread::scope` threads; per-slice results are identical
+    /// to the sequential path because each thread owns a disjoint output
+    /// slice.
     pub fn bmm(&self, other: &Array) -> Array {
         assert_eq!(self.ndim(), 3, "bmm lhs must be 3-D, got {:?}", self.shape);
         assert_eq!(other.ndim(), 3, "bmm rhs must be 3-D, got {:?}", other.shape);
@@ -443,32 +443,16 @@ impl Array {
 }
 
 /// Worker threads for `tasks` independent, similarly-sized work items:
-/// `min(cap, tasks)`, or 1 when there are fewer than 2 tasks, where `cap` is
-/// the `STISAN_WORKERS` environment variable when set to a positive integer
-/// and `min(cores, 8)` otherwise. This is the fan-out heuristic of
-/// [`Array::bmm`], exported so other scoped-thread pools (the serving
-/// engine's request workers, the gateway's batch pool) stay consistent with
-/// it — one knob tunes them all without recompiling.
-///
-/// Precedence (highest first): an explicit worker count in the caller's
-/// config (`ServeConfig::workers`, `GatewayConfig::workers` — those callers
-/// bypass this function entirely), then `STISAN_WORKERS`, then the
-/// `min(cores, 8)` heuristic. Invalid or non-positive values of the variable
-/// are ignored. The variable is re-read on every call, so tests and
-/// long-running deployments can retune it at runtime.
+/// `min(cores, 8, tasks)`, or 1 when there are fewer than 2 tasks. This is
+/// the fan-out rule of [`Array::bmm`], exported so the other scoped-thread
+/// pools (the serving engine's batch workers, the gateway's default batch
+/// pool) size themselves the same way.
 pub fn suggested_workers(tasks: usize) -> usize {
     if tasks < 2 {
         return 1;
     }
-    let cap = match std::env::var("STISAN_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(w) if w >= 1 => w,
-        _ => {
-            let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-            cores.min(8)
-        }
-    };
-    cap.min(tasks)
+    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    cores.min(8).min(tasks)
 }
 
 impl fmt::Debug for Array {
@@ -650,24 +634,18 @@ mod tests {
     }
 
     #[test]
-    fn suggested_workers_env_override() {
-        // A single task never fans out, override or not.
+    fn suggested_workers_caps_at_cores_and_tasks() {
+        // Fewer than two tasks never fan out.
+        assert_eq!(suggested_workers(0), 1);
         assert_eq!(suggested_workers(1), 1);
-        // The override caps the pool; tasks still bound it from below.
-        std::env::set_var("STISAN_WORKERS", "3");
-        assert_eq!(suggested_workers(100), 3);
-        assert_eq!(suggested_workers(2), 2);
-        // Values above the built-in 8-core ceiling are honoured: deployments
-        // with more cores opt in explicitly.
-        std::env::set_var("STISAN_WORKERS", "12");
-        assert_eq!(suggested_workers(100), 12);
-        // Garbage and non-positive values fall back to the heuristic.
-        for bad in ["0", "-2", "lots", ""] {
-            std::env::set_var("STISAN_WORKERS", bad);
-            let w = suggested_workers(100);
-            assert!((1..=8).contains(&w), "fallback out of range: {w}");
+        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        let cap = cores.min(8);
+        for tasks in [2usize, 3, 8, 100] {
+            let w = suggested_workers(tasks);
+            assert!((1..=cap).contains(&w), "{w} workers for {tasks} tasks (cap {cap})");
+            assert!(w <= tasks, "{w} workers for {tasks} tasks");
         }
-        std::env::remove_var("STISAN_WORKERS");
+        assert_eq!(suggested_workers(100), cap);
     }
 
     #[test]

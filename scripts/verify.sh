@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release
 
+# perfbench/ is a workspace of its own over the crates' public APIs; build it
+# the way perfbench/run.py does so an API change cannot break it unnoticed.
+echo "== perfbench build"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test --workspace"
 cargo test -q --workspace --release
 
