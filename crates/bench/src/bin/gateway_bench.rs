@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release -p stisan-bench --bin gateway_bench -- [--smoke]
 //!     [--chaos-smoke] [--scale f] [--clients n] [--requests n] [--qps f]
-//!     [--batch n] [--wait-us n] [--queue n] [--workers n] [--top-k k]
+//!     [--batch n] [--queue n] [--workers n] [--top-k k]
 //!     [--device-us n] [--epochs n] [--seed s]
 //! ```
 //!
@@ -24,10 +24,13 @@
 //!   single-core runner, CPU-bound workers cannot overlap).
 //!
 //! `--smoke` runs the CI acceptance sequence on the synthetic device:
-//! closed-loop batch=1 vs batch=32 (assert >= 1.5x), a traced run that must
-//! cost < 3% p95 over the untraced one (plus a small absolute timer-noise
-//! floor), a bounded-queue overload flood (assert sheds with `OVERLOADED`,
-//! nothing lost), and a paced open-loop run at a sustainable QPS target.
+//! closed-loop batch=1 vs batch=32 (assert >= 1.5x, and an average batch
+//! fill >= 2: with no coalescing window, batches form only from the
+//! backlog that builds up while the previous batch is scored), a traced
+//! run that must cost < 3% p95 over the untraced one (plus a small absolute
+//! timer-noise floor), a bounded-queue overload flood (assert sheds with
+//! `OVERLOADED`, nothing lost), and a paced open-loop run at a sustainable
+//! QPS target.
 //!
 //! `--chaos-smoke` runs the fleet acceptance scenario instead: a
 //! replicated, hot-reloading gateway under flood while replicas are killed
@@ -77,7 +80,6 @@ struct Opts {
     requests: usize, // per client
     qps: f64,        // 0 = closed loop
     batch: usize,
-    wait_us: u64,
     queue: usize,
     workers: usize,
     top_k: u16,
@@ -95,7 +97,6 @@ fn parse() -> Opts {
         requests: 25,
         qps: 0.0,
         batch: 32,
-        wait_us: 500,
         queue: 256,
         workers: 4,
         top_k: 10,
@@ -119,7 +120,6 @@ fn parse() -> Opts {
             "--requests" => o.requests = take(&mut i).parse().expect("bad --requests"),
             "--qps" => o.qps = take(&mut i).parse().expect("bad --qps"),
             "--batch" => o.batch = take(&mut i).parse().expect("bad --batch"),
-            "--wait-us" => o.wait_us = take(&mut i).parse().expect("bad --wait-us"),
             "--queue" => o.queue = take(&mut i).parse().expect("bad --queue"),
             "--workers" => o.workers = take(&mut i).parse().expect("bad --workers"),
             "--top-k" => o.top_k = take(&mut i).parse().expect("bad --top-k"),
@@ -128,7 +128,7 @@ fn parse() -> Opts {
             "--seed" => o.seed = take(&mut i).parse().expect("bad --seed"),
             other => panic!(
                 "unknown flag {other}; supported: --smoke --chaos-smoke --scale --clients \
-                 --requests --qps --batch --wait-us --queue --workers --top-k --device-us \
+                 --requests --qps --batch --queue --workers --top-k --device-us \
                  --epochs --seed"
             ),
         }
@@ -367,11 +367,7 @@ fn with_gateway<M: FrozenScorer + Sync, R>(
 /// artifacts a production gateway would.
 fn gateway_cfg(o: &Opts, batch: usize, queue: usize) -> GatewayConfig {
     GatewayConfig {
-        batch: BatchPolicy {
-            max_batch_size: batch,
-            max_wait_us: if batch > 1 { o.wait_us } else { 0 },
-            queue_capacity: queue,
-        },
+        batch: BatchPolicy { max_batch_size: batch, queue_capacity: queue },
         workers: o.workers,
         read_timeout: Duration::from_secs(30),
         admin: None,
@@ -634,7 +630,7 @@ fn run_chaos_smoke(o: &Opts, p: &Processed) {
         // The chaos driver: one replica kill per wave, checkpoint churn on
         // a fixed script. Runs the script to completion even if the flood
         // drains early.
-        s.spawn(|| {
+        let driver = s.spawn(|| {
             plan.set_delay_us(150);
             let mut wave = 0u64;
             while !flood_done.load(Ordering::SeqCst) || wave < 9 {
@@ -702,6 +698,10 @@ fn run_chaos_smoke(o: &Opts, p: &Processed) {
             }
         });
         flood_done.store(true, Ordering::SeqCst);
+        // The driver finishes its checkpoint script before anything else
+        // publishes: two concurrent `CheckpointManager::save`s on one
+        // directory sweep each other's staging files.
+        let driver = driver.join();
 
         // Let the watcher land the final epoch before drain. A leftover
         // armed panic can fire inside the canary and quarantine the *good*
@@ -720,7 +720,9 @@ fn run_chaos_smoke(o: &Opts, p: &Processed) {
             thread::sleep(Duration::from_millis(5));
         }
         handle.shutdown();
-        server.join().expect("the gateway process must survive chaos")
+        let stats = server.join().expect("the gateway process must survive chaos");
+        driver.expect("the chaos driver must finish its script");
+        stats
     });
     let wall_s = t0.elapsed().as_secs_f64();
 
@@ -857,11 +859,10 @@ fn main() {
             run_load(addr, &p, o.clients, o.requests, o.top_k, 0.0, false, "batched")
         });
         report(&format!("closed loop, batch {batch}"), &rb);
+        let fill = sb.served as f64 / sb.batches.max(1) as f64;
         println!(
-            "batch fill: {:.1} avg over {} batches (batch 1: {} batches)",
-            sb.served as f64 / sb.batches.max(1) as f64,
-            sb.batches,
-            s1.batches
+            "batch fill: {fill:.1} avg over {} batches (batch 1: {} batches)",
+            sb.batches, s1.batches
         );
         let speedup = rb.rps() / r1.rps().max(1e-12);
         println!("micro-batching throughput speedup: {speedup:.2}x");
@@ -897,7 +898,7 @@ fn main() {
         let slow = FixedLatencyDevice(Duration::from_millis(2));
         let slow_session = InferenceSession::new(&slow, &p, serve_cfg);
         let overload_cfg = GatewayConfig {
-            batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 2 },
+            batch: BatchPolicy { max_batch_size: 1, queue_capacity: 2 },
             workers: 1,
             read_timeout: Duration::from_secs(30),
             admin: None,
@@ -1059,6 +1060,11 @@ fn main() {
                 speedup >= 1.5,
                 "acceptance: batch {batch} must be >= 1.5x batch 1, got {speedup:.2}x"
             );
+            assert!(
+                fill >= 2.0,
+                "acceptance: batch {batch} averaged {fill:.1} requests per batch; batches must \
+                 still form from the backlog (>= 2.0)"
+            );
             assert!(ro.shed > 0, "acceptance: the bounded queue must shed under flood");
             // Tracing must cost < 3% at the p95, with a 0.3 ms absolute
             // floor: at a 500 us device time the p95 sits at a few ms, so
@@ -1097,8 +1103,8 @@ fn main() {
                 "acceptance: burn alert fired on a clean run: {alerts_body}"
             );
             println!(
-                "smoke OK: {speedup:.2}x batched speedup, {} sheds typed, tracing overhead \
-                 {:+.1}% p95, slo sampler overhead {:+.1}% rps",
+                "smoke OK: {speedup:.2}x batched speedup at {fill:.1} avg fill, {} sheds typed, \
+                 tracing overhead {:+.1}% p95, slo sampler overhead {:+.1}% rps",
                 ro.shed,
                 100.0 * overhead,
                 100.0 * slo_overhead

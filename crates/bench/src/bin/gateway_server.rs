@@ -6,13 +6,14 @@
 //! ```text
 //! cargo run --release -p stisan-bench --bin gateway_server -- \
 //!     [--addr 127.0.0.1:7878] [--admin 127.0.0.1:9878] [--scale f]
-//!     [--epochs n] [--batch n] [--wait-us n] [--queue n] [--workers n]
+//!     [--epochs n] [--batch n] [--queue n] [--workers n]
 //!     [--top-k k] [--seed s] [--self-load qps]
 //! ```
 //!
-//! `--workers 0` (the default) sizes the batch pool by the `min(cores, 8)`
-//! rule (see README, "Serving over the network"). Talk to it with
-//! `gateway_bench` or any `GatewayClient`.
+//! `--workers 1` (the default) scores on the dispatcher thread and answers
+//! each request as soon as it is scored; `--workers 0` fans each batch out
+//! over `min(cores, 8)` threads (see README, "Serving over the network").
+//! Talk to it with `gateway_bench` or any `GatewayClient`.
 //!
 //! `--admin` additionally binds the observability endpoint (`GET /metrics`
 //! in Prometheus text format, `/healthz`, `/flightrec`, `/traces`, and the
@@ -45,7 +46,6 @@ struct Opts {
     scale: f64,
     epochs: usize,
     batch: usize,
-    wait_us: u64,
     queue: usize,
     workers: usize,
     top_k: usize,
@@ -60,9 +60,8 @@ fn parse() -> Opts {
         scale: 0.02,
         epochs: 1,
         batch: 32,
-        wait_us: 2_000,
         queue: 256,
-        workers: 0,
+        workers: 1,
         top_k: 10,
         seed: 42,
         self_load: 0.0,
@@ -81,7 +80,6 @@ fn parse() -> Opts {
             "--scale" => o.scale = take(&mut i).parse().expect("bad --scale"),
             "--epochs" => o.epochs = take(&mut i).parse().expect("bad --epochs"),
             "--batch" => o.batch = take(&mut i).parse().expect("bad --batch"),
-            "--wait-us" => o.wait_us = take(&mut i).parse().expect("bad --wait-us"),
             "--queue" => o.queue = take(&mut i).parse().expect("bad --queue"),
             "--workers" => o.workers = take(&mut i).parse().expect("bad --workers"),
             "--top-k" => o.top_k = take(&mut i).parse().expect("bad --top-k"),
@@ -89,7 +87,7 @@ fn parse() -> Opts {
             "--self-load" => o.self_load = take(&mut i).parse().expect("bad --self-load"),
             other => panic!(
                 "unknown flag {other}; supported: --addr --admin --scale --epochs --batch \
-                 --wait-us --queue --workers --top-k --seed --self-load"
+                 --queue --workers --top-k --seed --self-load"
             ),
         }
         i += 1;
@@ -130,11 +128,7 @@ fn main() {
         },
     );
     let cfg = GatewayConfig {
-        batch: BatchPolicy {
-            max_batch_size: o.batch,
-            max_wait_us: o.wait_us,
-            queue_capacity: o.queue,
-        },
+        batch: BatchPolicy { max_batch_size: o.batch, queue_capacity: o.queue },
         workers: o.workers,
         read_timeout: Duration::from_secs(30),
         admin: o.admin,
@@ -144,11 +138,10 @@ fn main() {
     let gw = Gateway::bind(o.addr.as_str(), cfg).expect("bind gateway address");
     let handle = gw.handle();
     println!(
-        "serving on {} (batch <= {}, wait <= {} us, queue <= {}); press Enter or close \
-         stdin to drain and stop",
+        "serving on {} (batch <= {}, queue <= {}); press Enter or close stdin to drain \
+         and stop",
         gw.local_addr(),
         o.batch,
-        o.wait_us,
         o.queue
     );
     if let Some(admin) = gw.admin_addr() {

@@ -10,18 +10,19 @@
 //!   `OVERLOADED` frame instead of buffering without bound);
 //! * **batch bound** — an emitted batch never exceeds
 //!   [`BatchPolicy::max_batch_size`];
-//! * **wait bound** — a batch becomes ready the moment it is full *or* its
-//!   oldest member has waited [`BatchPolicy::max_wait_us`]. With
-//!   `queue_capacity <= max_batch_size` (the bench's overload
-//!   configuration) every admitted request is therefore answered within
-//!   `max_wait_us` plus one batch service time — the property tests prove
-//!   it over random arrival patterns.
+//! * **work conservation** — there is no coalescing window: whenever the
+//!   consumer is free and something is pending, [`MicroBatcher::take_into`]
+//!   hands over everything pending, up to a full batch. Batches form from
+//!   the requests that arrive while the previous batch is being scored.
+//!   With `queue_capacity <= max_batch_size` every admitted request is
+//!   therefore emitted within one batch service time of its arrival, and
+//!   at once when the consumer is idle — the property tests prove both
+//!   over random arrival patterns.
 //!
-//! The server (`server.rs`) drives this machine with the real clock: one
-//! dispatcher thread offers admitted requests, sleeps until
-//! [`MicroBatcher::next_deadline_us`], and hands each
-//! [`MicroBatcher::take`] result to the scoring pool
-//! (`InferenceSession::serve_batch_on`) as a single engine batch.
+//! The server (`server.rs`) drives this machine with the real clock:
+//! connection handlers offer admitted requests, and one dispatcher thread
+//! sleeps while the queue is empty and, each time it is free, drains one
+//! batch and hands it to the scoring backend as a single engine batch.
 
 use std::collections::VecDeque;
 
@@ -30,19 +31,15 @@ use std::collections::VecDeque;
 pub struct BatchPolicy {
     /// Largest batch handed to the scoring pool in one call.
     pub max_batch_size: usize,
-    /// Longest a request may sit waiting for co-batching before the batch
-    /// is emitted anyway, in microseconds. `0` disables coalescing waits:
-    /// whatever is pending is emitted as soon as the pool is free.
-    pub max_wait_us: u64,
     /// Bound on pending (admitted but not yet batched) requests. Offers
     /// beyond it are shed.
     pub queue_capacity: usize,
 }
 
 impl Default for BatchPolicy {
-    /// Batches of up to 32, 2 ms coalescing window, 256 pending requests.
+    /// Batches of up to 32, 256 pending requests.
     fn default() -> Self {
-        BatchPolicy { max_batch_size: 32, max_wait_us: 2_000, queue_capacity: 256 }
+        BatchPolicy { max_batch_size: 32, queue_capacity: 256 }
     }
 }
 
@@ -52,7 +49,6 @@ impl BatchPolicy {
     pub fn sanitized(self) -> BatchPolicy {
         BatchPolicy {
             max_batch_size: self.max_batch_size.max(1),
-            max_wait_us: self.max_wait_us,
             queue_capacity: self.queue_capacity.max(1),
         }
     }
@@ -81,11 +77,6 @@ impl<T> MicroBatcher<T> {
         MicroBatcher { policy: policy.sanitized(), pending: VecDeque::new() }
     }
 
-    /// The (sanitized) policy in force.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
     /// Pending request count.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -106,40 +97,13 @@ impl<T> MicroBatcher<T> {
         Ok(())
     }
 
-    /// Whether a batch should be emitted now: something is pending and
-    /// either a full batch is available or the oldest entry has waited out
-    /// the coalescing window.
-    pub fn ready(&self, now_us: u64) -> bool {
-        match self.pending.front() {
-            None => false,
-            Some(oldest) => {
-                self.pending.len() >= self.policy.max_batch_size
-                    || now_us >= oldest.arrived_us.saturating_add(self.policy.max_wait_us)
-            }
-        }
-    }
-
-    /// The clock value at which [`ready`] will next turn true without
-    /// further offers, `None` when the queue is empty. A full batch is
-    /// ready immediately.
-    ///
-    /// [`ready`]: MicroBatcher::ready
-    pub fn next_deadline_us(&self) -> Option<u64> {
-        let oldest = self.pending.front()?;
-        if self.pending.len() >= self.policy.max_batch_size {
-            return Some(oldest.arrived_us);
-        }
-        Some(oldest.arrived_us.saturating_add(self.policy.max_wait_us))
-    }
-
-    /// Removes and returns the oldest `<= max_batch_size` entries, FIFO.
-    /// The caller decides *when* (normally when [`ready`] says so and the
-    /// scoring pool is free); `take` itself just slices the queue.
-    ///
-    /// [`ready`]: MicroBatcher::ready
-    pub fn take(&mut self) -> Vec<Pending<T>> {
+    /// Moves the oldest `<= max_batch_size` entries, FIFO, onto the end of
+    /// `out` (a buffer the caller reuses across batches). The caller
+    /// decides *when* — normally whenever its scoring pool is free and the
+    /// queue is not empty.
+    pub fn take_into(&mut self, out: &mut Vec<Pending<T>>) {
         let n = self.pending.len().min(self.policy.max_batch_size);
-        self.pending.drain(..n).collect()
+        out.extend(self.pending.drain(..n));
     }
 }
 
@@ -147,57 +111,55 @@ impl<T> MicroBatcher<T> {
 mod tests {
     use super::*;
 
-    fn batcher(max_batch: usize, wait: u64, cap: usize) -> MicroBatcher<u32> {
-        MicroBatcher::new(BatchPolicy {
-            max_batch_size: max_batch,
-            max_wait_us: wait,
-            queue_capacity: cap,
-        })
+    fn batcher(max_batch: usize, cap: usize) -> MicroBatcher<u32> {
+        MicroBatcher::new(BatchPolicy { max_batch_size: max_batch, queue_capacity: cap })
+    }
+
+    fn take(b: &mut MicroBatcher<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        b.take_into(&mut out);
+        out.into_iter().map(|p| p.item).collect()
     }
 
     #[test]
-    fn fills_then_emits_full_batches_fifo() {
-        let mut b = batcher(3, 1_000, 10);
+    fn takes_full_batches_then_the_partial_rest_fifo() {
+        let mut b = batcher(3, 10);
         for i in 0..5u32 {
             assert!(b.offer(i, 10 + i as u64).is_ok());
         }
-        assert!(b.ready(14), "full batch must be ready regardless of waits");
-        let batch: Vec<u32> = b.take().into_iter().map(|p| p.item).collect();
-        assert_eq!(batch, vec![0, 1, 2]);
+        assert_eq!(take(&mut b), vec![0, 1, 2]);
         assert_eq!(b.len(), 2);
-        // Two left: not full, oldest (arrived at 13) not yet past the window.
-        assert!(!b.ready(500));
-        assert_eq!(b.next_deadline_us(), Some(13 + 1_000));
-        assert!(b.ready(1_013));
-        let rest: Vec<u32> = b.take().into_iter().map(|p| p.item).collect();
-        assert_eq!(rest, vec![3, 4]);
+        // No window to wait out: the partial remainder goes next.
+        assert_eq!(take(&mut b), vec![3, 4]);
         assert!(b.is_empty());
-        assert_eq!(b.next_deadline_us(), None);
+        assert_eq!(take(&mut b), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn take_into_appends_and_keeps_arrival_times() {
+        let mut b = batcher(4, 4);
+        assert!(b.offer(7, 123).is_ok());
+        let mut out = vec![Pending { item: 1, arrived_us: 5 }];
+        b.take_into(&mut out);
+        let kept = Pending { item: 1, arrived_us: 5 };
+        assert_eq!(out, vec![kept, Pending { item: 7, arrived_us: 123 }]);
     }
 
     #[test]
     fn sheds_above_capacity_and_recovers() {
-        let mut b = batcher(8, 100, 2);
+        let mut b = batcher(8, 2);
         assert!(b.offer(1, 0).is_ok());
         assert!(b.offer(2, 0).is_ok());
         assert_eq!(b.offer(3, 0), Err(3), "third offer must be shed, not buffered");
-        let _ = b.take();
+        let _ = take(&mut b);
         assert!(b.offer(3, 5).is_ok(), "capacity frees up after a take");
     }
 
     #[test]
-    fn zero_wait_emits_immediately() {
-        let mut b = batcher(32, 0, 32);
-        assert!(b.offer(9, 123).is_ok());
-        assert!(b.ready(123), "max_wait_us = 0 means no coalescing delay");
-        assert_eq!(b.next_deadline_us(), Some(123));
-    }
-
-    #[test]
     fn degenerate_policy_is_sanitized() {
-        let b: MicroBatcher<u32> =
-            MicroBatcher::new(BatchPolicy { max_batch_size: 0, max_wait_us: 1, queue_capacity: 0 });
-        assert_eq!(b.policy().max_batch_size, 1);
-        assert_eq!(b.policy().queue_capacity, 1);
+        let mut b = batcher(0, 0);
+        assert!(b.offer(1, 0).is_ok(), "capacity clamps to 1");
+        assert_eq!(b.offer(2, 0), Err(2));
+        assert_eq!(take(&mut b), vec![1], "batch size clamps to 1");
     }
 }

@@ -27,12 +27,12 @@
 //! cannot be trusted); server-error retries reuse the live connection.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, ErrorFrame, Frame, ReadError, Request, Response,
+    encode_request, read_frame, ErrorCode, ErrorFrame, Frame, ReadError, Request, Response,
 };
 
 /// Why a client call failed.
@@ -184,7 +184,7 @@ impl GatewayClient {
         &mut self,
         req: &Request,
     ) -> Result<Response, (ClientError, WritePhase)> {
-        if let Err(e) = write_frame(&mut self.stream, &Frame::Request(req.clone())) {
+        if let Err(e) = self.stream.write_all(&encode_request(req)) {
             return Err((ClientError::Io(e), WritePhase::BeforeWrite));
         }
         match read_frame(&mut self.stream) {

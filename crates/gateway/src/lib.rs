@@ -13,8 +13,10 @@
 //!   [`protocol::DecodeError`], never a panic (the corruption suite proves
 //!   it with the `stisan_nn::fault` injectors).
 //! * **[`batcher`]** — dynamic micro-batching as a pure, simulated-clock
-//!   state machine: bounded admission, `max_batch_size` / `max_wait_us`
-//!   coalescing, FIFO batches. Property-tested without real sleeps.
+//!   state machine: bounded admission, FIFO batches of at most
+//!   `max_batch_size`, taken work-conservingly (no coalescing window —
+//!   batches form from the backlog that builds while the previous batch is
+//!   scored). Property-tested without real sleeps.
 //! * **[`server`]** — the serving loop: bounded pending queue that sheds
 //!   with `OVERLOADED` frames, per-request deadlines enforced at dequeue
 //!   (`DEADLINE_EXCEEDED`), per-connection idle timeouts, and graceful

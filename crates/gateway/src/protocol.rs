@@ -370,7 +370,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn encode_request(out: &mut Vec<u8>, r: &Request) {
+fn put_request(out: &mut Vec<u8>, r: &Request) {
     out.extend_from_slice(&r.user.to_le_bytes());
     out.extend_from_slice(&r.k.to_le_bytes());
     out.extend_from_slice(&r.deadline_ms.to_le_bytes());
@@ -406,7 +406,7 @@ fn decode_request(payload: &[u8], version: u8) -> Result<Request, DecodeError> {
     Ok(Request { user, k, deadline_ms, seq, trace_id })
 }
 
-fn encode_response(out: &mut Vec<u8>, r: &Response) {
+fn put_response(out: &mut Vec<u8>, r: &Response) {
     out.extend_from_slice(&r.pool.to_le_bytes());
     out.extend_from_slice(&r.scored.to_le_bytes());
     let n = r.items.len().min(u16::MAX as usize) as u16;
@@ -447,7 +447,7 @@ fn decode_response(payload: &[u8], version: u8) -> Result<Response, DecodeError>
     Ok(Response { pool, scored, items, trace })
 }
 
-fn encode_error(out: &mut Vec<u8>, e: &ErrorFrame) {
+fn put_error(out: &mut Vec<u8>, e: &ErrorFrame) {
     out.push(e.code as u8);
     let msg = e.message.as_bytes();
     let n = msg.len().min(u16::MAX as usize) as u16;
@@ -468,37 +468,51 @@ fn decode_error(payload: &[u8]) -> Result<ErrorFrame, DecodeError> {
     Ok(ErrorFrame { code, message })
 }
 
+/// Builds one whole frame in a single pass: the header with a placeholder
+/// length, the payload written by `body`, the patched length, then the CRC
+/// over header and payload. `payload_hint` sizes the buffer up front.
+fn build_frame(
+    kind: u8,
+    version: u8,
+    payload_hint: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_hint + 4);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&[version, kind, 0, 0, 0, 0, 0, 0]); // reserved + length
+    body(&mut out);
+    let payload_len = out.len() - HEADER_LEN;
+    debug_assert!(payload_len <= MAX_PAYLOAD);
+    out[8..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Encodes a request frame straight from a borrowed [`Request`] — what
+/// [`encode`] does for `Frame::Request`, without building the `Frame`.
+pub fn encode_request(r: &Request) -> Vec<u8> {
+    let version = if r.trace_id.is_some() { VERSION } else { VERSION_V1 };
+    let hint = 12 + 28 * r.seq.len().min(MAX_SEQ_LEN) + 8;
+    build_frame(KIND_REQUEST, version, hint, |out| put_request(out, r))
+}
+
 /// Encodes one frame into a fresh byte vector (header + payload + CRC).
 /// The version byte is the lowest that can represent the frame: frames
 /// without tracing fields (and all error frames) are emitted as v1,
 /// bit-for-bit identical to a v1 peer's encoding.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let (kind, version) = match frame {
-        Frame::Request(r) => {
-            encode_request(&mut payload, r);
-            (KIND_REQUEST, if r.trace_id.is_some() { VERSION } else { VERSION_V1 })
-        }
+    match frame {
+        Frame::Request(r) => encode_request(r),
         Frame::Response(r) => {
-            encode_response(&mut payload, r);
-            (KIND_RESPONSE, if r.trace.is_some() { VERSION } else { VERSION_V1 })
+            let version = if r.trace.is_some() { VERSION } else { VERSION_V1 };
+            let hint = 10 + 8 * r.items.len().min(u16::MAX as usize) + 24;
+            build_frame(KIND_RESPONSE, version, hint, |out| put_response(out, r))
         }
         Frame::Error(e) => {
-            encode_error(&mut payload, e);
-            (KIND_ERROR, VERSION_V1)
+            build_frame(KIND_ERROR, VERSION_V1, 3 + e.message.len(), |out| put_error(out, e))
         }
-    };
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(&MAGIC);
-    out.push(version);
-    out.push(kind);
-    out.extend_from_slice(&[0, 0]); // reserved
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    }
 }
 
 /// Decodes a byte buffer holding exactly one frame. Pure and panic-free:

@@ -12,15 +12,17 @@
 //!   notices shutdown and enforces the idle timeout), validates requests
 //!   against the serving catalogue, offers them to the shared
 //!   [`MicroBatcher`] (shedding with `OVERLOADED` when the bounded queue is
-//!   full), then blocks on its per-request reply channel and writes the
-//!   response frame;
-//! * the **dispatcher** sleeps until the batcher has a ready batch, drops
-//!   requests whose deadline expired while queued (`DEADLINE_EXCEEDED`,
-//!   enforced at dequeue time), and hands the rest to the
-//!   [`EngineBackend`] with the worker count resolved at startup — one
-//!   batch at a time, like a device: batch k+1 is not formed while batch k
-//!   is being scored, which is exactly what makes micro-batching the
-//!   throughput lever (`gateway_bench` measures it). The backend is either
+//!   full), then blocks on its reply channel (one per connection, reused
+//!   for every request) and writes the response frame;
+//! * the **dispatcher** is work-conserving: it sleeps only while the queue
+//!   is empty and otherwise takes everything pending (up to a full batch)
+//!   at once. It drops requests whose deadline expired while queued
+//!   (`DEADLINE_EXCEEDED`, enforced at dequeue time) and hands the rest to
+//!   the [`EngineBackend`] with the worker count resolved at startup — one
+//!   batch at a time, like a device, so batches form from the requests
+//!   that arrive while the previous one is scored. With one worker (the
+//!   default) it scores the batch one request at a time and answers each
+//!   as soon as it is scored. The backend is either
 //!   a plain `InferenceSession` or a supervised
 //!   `stisan_serve::ReplicatedEngine`; either way scoring **cannot panic
 //!   the gateway** — failures come back as typed [`ServeFailure`]s that
@@ -52,9 +54,9 @@
 //!
 //! [`GatewayHandle::shutdown`] flips an atomic flag and wakes everyone.
 //! The accept loop stops accepting; connection handlers answer any *new*
-//! request with `SHUTTING_DOWN`; the dispatcher keeps emitting batches —
-//! partial ones immediately, no coalescing wait — until the pending queue
-//! is empty, so every admitted request is answered; then the scope joins
+//! request with `SHUTTING_DOWN`; the dispatcher keeps taking batches, as it
+//! always does, until the pending queue is empty, so every admitted request
+//! is answered; then the scope joins
 //! and [`Gateway::serve`] returns the run's [`GatewayStats`].
 
 use std::io::Read;
@@ -86,11 +88,14 @@ const ACCEPT_IDLE: Duration = Duration::from_millis(5);
 /// Gateway configuration.
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
-    /// Micro-batching policy (batch bound, coalescing window, queue bound).
+    /// Micro-batching policy (batch bound, queue bound).
     pub batch: BatchPolicy,
-    /// Worker threads per scored batch. `0` resolves at startup via
-    /// [`stisan_tensor::suggested_workers`] (`min(cores, 8)`), sized for a
-    /// full batch.
+    /// Scoring threads per batch. `1` (the default) scores one request per
+    /// backend call and answers each as soon as it is scored; above 1, a
+    /// batch goes over in one call, fanned out over that many threads, and
+    /// is answered together (a replicated backend splits every call across
+    /// its replicas). `0` resolves at startup to
+    /// [`stisan_tensor::suggested_workers`] (`min(cores, 8)`).
     pub workers: usize,
     /// Longest a connection may sit without sending a byte (between frames
     /// or mid-frame) before it is closed.
@@ -112,12 +117,12 @@ pub struct GatewayConfig {
 }
 
 impl Default for GatewayConfig {
-    /// Default batching policy, auto worker count, 30 s idle timeout, no
+    /// Default batching policy, one scoring worker, 30 s idle timeout, no
     /// admin listener, dumps under `results/`, SLO sampler on.
     fn default() -> Self {
         GatewayConfig {
             batch: BatchPolicy::default(),
-            workers: 0,
+            workers: 1,
             read_timeout: Duration::from_secs(30),
             admin: None,
             flight_dir: Some(PathBuf::from("results")),
@@ -197,13 +202,27 @@ enum Reply {
     Err(ErrorCode, String, TraceCtx),
 }
 
+/// A connection's reply channel. The one sender travels with the request
+/// and comes back with its answer, so while a request is queued or being
+/// scored the handler holds no sender: should the dispatcher drop the
+/// request unanswered, the handler's `recv` fails instead of hanging.
+struct ReplyTx(mpsc::Sender<(Reply, ReplyTx)>);
+
+impl ReplyTx {
+    /// Answers the request, handing the sender back to its connection.
+    fn send(self, reply: Reply) {
+        let back = ReplyTx(self.0.clone());
+        let _ = self.0.send((reply, back));
+    }
+}
+
 /// One admitted request, queued in the micro-batcher.
 struct PendingReq {
     inst: EvalInstance,
     k: usize,
     /// Absolute deadline on the gateway clock, `None` for no budget.
     deadline_us: Option<u64>,
-    reply: mpsc::Sender<Reply>,
+    reply: ReplyTx,
     trace: TraceCtx,
 }
 
@@ -232,6 +251,17 @@ impl Shared {
     /// Milliseconds on the gateway clock (the sampler/SLO time base).
     pub(crate) fn now_ms(&self) -> u64 {
         self.t0.elapsed().as_millis() as u64
+    }
+
+    /// Sets the shutdown flag and wakes the dispatcher. The flag is set
+    /// under the queue lock so it cannot slip between the dispatcher's
+    /// empty-queue check and its wait, which would lose the wake-up.
+    fn begin_shutdown(&self) {
+        {
+            let _q = lock(&self.queue);
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
+        self.cv.notify_all();
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
@@ -273,8 +303,7 @@ impl GatewayHandle {
     /// Signals drain-then-stop shutdown: no new connections or requests,
     /// every already-admitted request still gets its answer.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.begin_shutdown();
     }
 
     /// Live counter snapshot.
@@ -430,12 +459,11 @@ impl Gateway {
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
                         // Fatal accept error: begin drain rather than spin.
-                        shared.shutdown.store(true, Ordering::SeqCst);
+                        shared.begin_shutdown();
                         break;
                     }
                 }
             }
-            shared.cv.notify_all();
         });
         if let (Some(dir), Some(rec)) = (shared.flight_dir.as_ref(), stisan_obs::flight_recorder())
         {
@@ -445,27 +473,16 @@ impl Gateway {
     }
 }
 
-/// Writes the first-shed flight dump, once per gateway run. Called *after*
-/// the shed's own event is recorded, so the dump contains it.
-fn maybe_dump_first_shed(shared: &Shared) {
-    if shared.first_shed_dump.swap(true, Ordering::Relaxed) {
+/// Writes a flight dump the first time `once` is claimed in a gateway run:
+/// the first shed, or the first replica failure (post-mortems want the ring
+/// exactly as it stood then, replica/epoch attribution included). Called
+/// *after* the triggering event is recorded, so the dump contains it.
+fn dump_once(shared: &Shared, once: &AtomicBool, reason: stisan_obs::DumpReason) {
+    if once.swap(true, Ordering::Relaxed) {
         return;
     }
     if let (Some(dir), Some(rec)) = (shared.flight_dir.as_ref(), stisan_obs::flight_recorder()) {
-        let _ = rec.write_dump(dir, stisan_obs::DumpReason::FirstShed);
-    }
-}
-
-/// Writes the first replica-panic flight dump, once per gateway run —
-/// post-mortems want the ring exactly as it stood when the first replica
-/// died, replica/epoch attribution included. Called *after* the failure's
-/// own event is recorded, so the dump contains it.
-fn maybe_dump_replica_panic(shared: &Shared) {
-    if shared.replica_panic_dump.swap(true, Ordering::Relaxed) {
-        return;
-    }
-    if let (Some(dir), Some(rec)) = (shared.flight_dir.as_ref(), stisan_obs::flight_recorder()) {
-        let _ = rec.write_dump(dir, stisan_obs::DumpReason::ReplicaPanic);
+        let _ = rec.write_dump(dir, reason);
     }
 }
 
@@ -502,43 +519,34 @@ fn reload_loop(shared: &Shared, reloader: &dyn Reloader, interval: Duration) {
     }
 }
 
-/// The dispatcher: sleeps until the batcher is ready, enforces deadlines at
-/// dequeue, scores the batch through the backend's panic boundary, replies.
+/// The dispatcher: sleeps while the queue is empty, otherwise takes up to a
+/// full batch at once, enforces deadlines at dequeue, scores the batch
+/// through the backend's panic boundary, replies. Its buffers live across
+/// batches.
+/// One worker scores a batch as a plain loop anyway, so it goes to the
+/// backend one request at a time: no answer waits for its batch-mates.
 fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B, workers: usize) {
+    let mut batch = Vec::new();
+    let mut insts = Vec::new();
+    let mut waiting: Vec<(ReplyTx, usize)> = Vec::new();
+    let mut traces: Vec<TraceCtx> = Vec::new();
     loop {
-        let batch = {
+        let depth = {
             let mut q = lock(&shared.queue);
-            loop {
-                if q.is_empty() && shared.is_shutdown() {
+            while q.is_empty() {
+                if shared.is_shutdown() {
                     return;
                 }
-                let now = shared.now_us();
-                // During drain, partial batches go out immediately.
-                if q.ready(now) || (shared.is_shutdown() && !q.is_empty()) {
-                    break;
-                }
-                q = match q.next_deadline_us() {
-                    None => shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner),
-                    Some(d) => {
-                        let wait = Duration::from_micros(d.saturating_sub(now).max(1));
-                        shared
-                            .cv
-                            .wait_timeout(q, wait)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0
-                    }
-                };
+                q = shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
-            let b = q.take();
-            stisan_obs::gauge("gateway.queue_depth", q.len() as f64);
-            b
+            q.take_into(&mut batch);
+            q.len()
         };
+        stisan_obs::gauge("gateway.queue_depth", depth as f64);
 
         let now = shared.now_us();
-        let mut insts = Vec::with_capacity(batch.len());
-        let mut waiting = Vec::with_capacity(batch.len());
-        let mut traces: Vec<TraceCtx> = Vec::with_capacity(batch.len());
-        for p in batch {
+        insts.clear();
+        for p in batch.drain(..) {
             stisan_obs::observe("gateway.wait_us", now.saturating_sub(p.arrived_us) as f64);
             let mut req = p.item;
             req.trace.stamp(Stage::BatchSealed);
@@ -550,7 +558,7 @@ fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B, workers: usize) {
                     Stage::BatchSealed,
                     Outcome::DeadlineExceeded,
                 );
-                let _ = req.reply.send(Reply::Err(
+                req.reply.send(Reply::Err(
                     ErrorCode::DeadlineExceeded,
                     ErrorCode::DeadlineExceeded.to_string(),
                     req.trace,
@@ -568,33 +576,37 @@ fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B, workers: usize) {
         stisan_obs::counter("gateway.batches_total", 1);
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
 
-        let outcomes = backend.serve_outcomes(&insts, workers, &mut traces);
-        for (((reply, k), outcome), trace) in waiting.into_iter().zip(outcomes).zip(traces) {
-            match outcome {
-                Ok(served) => {
-                    let mut items = served.rec.items;
-                    items.truncate(k);
-                    let resp = Response {
-                        pool: served.rec.pool as u32,
-                        scored: served.rec.scored as u32,
-                        items,
-                        trace: None,
-                    };
-                    shared.stats.served.fetch_add(1, Ordering::Relaxed);
-                    stisan_obs::counter("gateway.served_total", 1);
-                    let replica = if served.degraded { NO_REPLICA } else { served.replica };
-                    let _ = reply.send(Reply::Ok(resp, trace, replica, served.epoch));
-                }
-                Err(failure) => {
-                    shared.stats.internal_errors.fetch_add(1, Ordering::Relaxed);
-                    stisan_obs::counter("gateway.internal_errors_total", 1);
-                    stisan_obs::flight_event(trace.trace_id, Stage::Scored, Outcome::Internal);
-                    maybe_dump_replica_panic(shared);
-                    let _ = reply.send(Reply::Err(
-                        ErrorCode::Internal,
-                        failure.to_string(),
-                        trace,
-                    ));
+        let step = if workers == 1 { 1 } else { insts.len() };
+        while !insts.is_empty() {
+            let n = step.min(insts.len());
+            let outcomes = backend.serve_outcomes(&insts[..n], workers, &mut traces[..n]);
+            insts.drain(..n);
+            for (((reply, k), outcome), trace) in
+                waiting.drain(..n).zip(outcomes).zip(traces.drain(..n))
+            {
+                match outcome {
+                    Ok(served) => {
+                        let mut items = served.rec.items;
+                        items.truncate(k);
+                        let resp = Response {
+                            pool: served.rec.pool as u32,
+                            scored: served.rec.scored as u32,
+                            items,
+                            trace: None,
+                        };
+                        shared.stats.served.fetch_add(1, Ordering::Relaxed);
+                        stisan_obs::counter("gateway.served_total", 1);
+                        let replica = if served.degraded { NO_REPLICA } else { served.replica };
+                        reply.send(Reply::Ok(resp, trace, replica, served.epoch));
+                    }
+                    Err(failure) => {
+                        shared.stats.internal_errors.fetch_add(1, Ordering::Relaxed);
+                        stisan_obs::counter("gateway.internal_errors_total", 1);
+                        stisan_obs::flight_event(trace.trace_id, Stage::Scored, Outcome::Internal);
+                        let once = &shared.replica_panic_dump;
+                        dump_once(shared, once, stisan_obs::DumpReason::ReplicaPanic);
+                        reply.send(Reply::Err(ErrorCode::Internal, failure.to_string(), trace));
+                    }
                 }
             }
         }
@@ -652,9 +664,11 @@ fn read_exact_polled(
     Ok(true)
 }
 
-/// Reads one frame with polling; see [`Polled`].
+/// Reads one frame with polling into `buf` (the connection's frame buffer,
+/// reused across frames); see [`Polled`].
 fn read_frame_polled(
     stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
     shared: &Shared,
     idle_budget: Duration,
 ) -> Polled {
@@ -667,14 +681,14 @@ fn read_frame_polled(
         Ok(h) => h,
         Err(e) => return Polled::Decode(e),
     };
-    let total = HEADER_LEN + payload_len as usize + 4;
-    let mut buf = vec![0u8; total];
-    buf[..HEADER_LEN].copy_from_slice(&hb);
+    buf.clear();
+    buf.extend_from_slice(&hb);
+    buf.resize(HEADER_LEN + payload_len as usize + 4, 0);
     match read_exact_polled(stream, &mut buf[HEADER_LEN..], shared, idle_budget) {
         Ok(true) => {}
         Ok(false) | Err(()) => return Polled::Closed,
     }
-    match decode(&buf) {
+    match decode(buf) {
         Ok(f) => Polled::Frame(f),
         Err(e) => Polled::Decode(e),
     }
@@ -691,7 +705,8 @@ fn stamp_u32(trace: &TraceCtx, stage: Stage) -> u32 {
 }
 
 /// One connection's request/response loop (one outstanding request at a
-/// time; concurrency comes from concurrent connections).
+/// time; concurrency comes from concurrent connections). The frame buffer
+/// and the reply channel are created once and reused for every request.
 fn handle_conn(
     mut stream: TcpStream,
     shared: &Shared,
@@ -702,8 +717,11 @@ fn handle_conn(
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
+    let mut buf = Vec::new();
+    let (tx, rx) = mpsc::channel();
+    let mut reply_tx = ReplyTx(tx);
     loop {
-        let frame = match read_frame_polled(&mut stream, shared, idle_budget) {
+        let frame = match read_frame_polled(&mut stream, &mut buf, shared, idle_budget) {
             Polled::Frame(f) => f,
             Polled::Decode(e) => {
                 // Framing can't be trusted after a corrupt frame: answer
@@ -748,7 +766,6 @@ fn handle_conn(
             }
         };
         stisan_obs::flight_event(trace_id, Stage::Admitted, Outcome::Ok);
-        let (tx, rx) = mpsc::channel();
         let now = shared.now_us();
         trace.stamp(Stage::Enqueued);
         let pending = PendingReq {
@@ -756,28 +773,36 @@ fn handle_conn(
             k: req.k as usize,
             deadline_us: (req.deadline_ms > 0)
                 .then(|| now.saturating_add(u64::from(req.deadline_ms) * 1_000)),
-            reply: tx,
+            reply: reply_tx,
             trace,
         };
-        let admitted = {
+        let (admitted, depth) = {
             let mut q = lock(&shared.queue);
-            let r = q.offer(pending, now);
-            stisan_obs::gauge("gateway.queue_depth", q.len() as f64);
-            r
+            (q.offer(pending, now), q.len())
         };
-        if admitted.is_err() {
+        stisan_obs::gauge("gateway.queue_depth", depth as f64);
+        if let Err(shed) = admitted {
+            reply_tx = shed.reply;
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             stisan_obs::counter("gateway.shed_total", 1);
             stisan_obs::flight_event(trace_id, Stage::Enqueued, Outcome::Shed);
-            maybe_dump_first_shed(shared);
+            dump_once(shared, &shared.first_shed_dump, stisan_obs::DumpReason::FirstShed);
             send_error(&mut stream, ErrorCode::Overloaded, "pending queue full");
             continue;
         }
         shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
         stisan_obs::counter("gateway.requests_total", 1);
         shared.cv.notify_all();
-        match rx.recv() {
-            Ok(Reply::Ok(mut resp, mut trace, replica, epoch)) => {
+        let Ok((reply, back)) = rx.recv() else {
+            // Dispatcher dropped the request unanswered (server tearing down
+            // hard).
+            stisan_obs::flight_event(trace_id, Stage::Written, Outcome::Internal);
+            send_error(&mut stream, ErrorCode::Internal, "serving pipeline dropped request");
+            break;
+        };
+        reply_tx = back;
+        match reply {
+            Reply::Ok(mut resp, mut trace, replica, epoch) => {
                 trace.stamp(Stage::Written);
                 if wants_echo {
                     resp.trace = Some(TraceEcho {
@@ -798,17 +823,11 @@ fn handle_conn(
                     break;
                 }
             }
-            Ok(Reply::Err(code, detail, _trace)) => {
+            Reply::Err(code, detail, _trace) => {
                 // Dropped traces (deadline blown, backend failure) stay out
                 // of the latency histograms; their flight event was already
                 // recorded by the dispatcher.
                 send_error(&mut stream, code, detail);
-            }
-            Err(_) => {
-                // Dispatcher gone mid-request (server tearing down hard).
-                stisan_obs::flight_event(trace_id, Stage::Written, Outcome::Internal);
-                send_error(&mut stream, ErrorCode::Internal, "serving pipeline dropped request");
-                break;
             }
         }
     }

@@ -131,7 +131,7 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
 
         // Chaos driver: kill replicas and churn checkpoints until the
         // flood finishes.
-        s.spawn(|| {
+        let driver = s.spawn(|| {
             plan.set_delay_us(150); // widen the race windows
             let mut epoch_published = 0u64;
             let mut wave = 0u64;
@@ -211,6 +211,10 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
         });
         let _ = flood;
         flood_done.store(true, Ordering::SeqCst);
+        // The driver finishes its checkpoint script before anything else
+        // publishes: two concurrent `CheckpointManager::save`s on one
+        // directory sweep each other's staging files.
+        let driver = driver.join();
 
         // Let the watcher land the final epoch before shutdown, so the
         // reload pipeline is proven end-to-end. A leftover armed panic can
@@ -227,7 +231,9 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
             thread::sleep(Duration::from_millis(5));
         }
         handle.shutdown();
-        server.join().expect("gateway server thread must never die")
+        let stats = server.join().expect("gateway server thread must never die");
+        driver.expect("the chaos driver must finish its script");
+        stats
     });
 
     // --- Invariant 1: availability ---

@@ -13,6 +13,8 @@
 //! * malformed bytes and misdirected frames get typed errors, never hangs;
 //! * a client-supplied trace id round-trips (protocol v2) with monotonic
 //!   stage timings that account for the measured wall latency;
+//! * with one worker, each member of a batch is answered as soon as it is
+//!   scored, not when the whole batch is;
 //! * the admin endpoint serves parseable Prometheus text with `gateway_*`
 //!   and `serve_*` series, plus health/trace/flight-recorder JSON;
 //! * an `OVERLOADED` flood leaves a first-shed flight-recorder dump on
@@ -205,7 +207,7 @@ fn overload_sheds_with_typed_overloaded_frames() {
     let slow = Slow(Duration::from_millis(40));
     let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 1 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 1 },
         workers: 1,
         ..quiet_cfg()
     };
@@ -252,7 +254,7 @@ fn queued_past_deadline_gets_deadline_exceeded() {
     let slow = Slow(Duration::from_millis(150));
     let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 8 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 8 },
         workers: 1,
         ..quiet_cfg()
     };
@@ -298,7 +300,7 @@ fn shutdown_drains_every_admitted_request() {
     let slow = Slow(Duration::from_millis(60));
     let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 16 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 16 },
         workers: 1,
         ..quiet_cfg()
     };
@@ -425,7 +427,7 @@ fn trace_echo_roundtrips_with_monotonic_accounting_timings() {
     let slow = Slow(Duration::from_millis(80));
     let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 8 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 8 },
         workers: 1,
         ..quiet_cfg()
     };
@@ -465,6 +467,62 @@ fn trace_echo_roundtrips_with_monotonic_accounting_timings() {
         assert!(resp.trace.is_none(), "untraced requests must not get an echo");
     });
     assert_eq!(stats.served, 2);
+}
+
+/// With one worker, a batch goes to the backend one request at a time and
+/// each answer leaves as soon as it is scored: of three requests that queue
+/// behind a busy device and are taken as one batch, the first is written
+/// one scoring time after the batch is sealed, not three.
+#[test]
+fn one_worker_answers_each_batch_member_as_soon_as_it_is_scored() {
+    let p = processed();
+    const SCORE: Duration = Duration::from_millis(100);
+    let slow = Slow(SCORE);
+    let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
+    let cfg = GatewayConfig {
+        batch: BatchPolicy { max_batch_size: 8, queue_capacity: 8 },
+        workers: 1,
+        ..quiet_cfg()
+    };
+    let stats = with_gateway(&session, cfg, |handle| {
+        let clients: Vec<GatewayClient> =
+            (0..4).map(|_| GatewayClient::connect(handle.addr()).expect("connect")).collect();
+        thread::scope(|cs| {
+            let mut sends = clients.into_iter().enumerate().map(|(c, mut client)| {
+                let pr = &p;
+                move || {
+                    let mut req = request_from_instance(pr, &pr.eval[c % pr.eval.len()], 5, 0);
+                    req.trace_id = Some(c as u64 + 1);
+                    client.recommend(&req).expect("request answered")
+                }
+            });
+            // The first request occupies the device alone ...
+            let first = cs.spawn(sends.next().expect("four clients"));
+            let t0 = Instant::now();
+            while handle.stats().batches < 1 {
+                assert!(t0.elapsed() < Duration::from_secs(5), "first request never dequeued");
+                thread::sleep(Duration::from_millis(1));
+            }
+            // ... and the other three queue behind it.
+            let rest: Vec<_> = sends.map(|f| cs.spawn(f)).collect();
+            first.join().expect("client thread");
+            let held_us = rest
+                .into_iter()
+                .map(|j| {
+                    let echo = j.join().expect("client thread").trace.expect("trace echo");
+                    echo.written_us() - echo.batch_sealed_us()
+                })
+                .min()
+                .expect("three answers");
+            assert!(
+                u128::from(held_us) < 2 * SCORE.as_micros(),
+                "the first-scored batch member waited {held_us} us after its batch was \
+                 sealed: its answer was held back while its batch-mates were scored"
+            );
+        });
+    });
+    assert_eq!(stats.served, 4);
+    assert_eq!(stats.batches, 2, "the three queued requests must be taken as one batch");
 }
 
 /// The admin endpoint serves a parseable Prometheus exposition containing
@@ -534,7 +592,7 @@ fn overload_flood_writes_flight_dumps_with_shed_events() {
     let dir = std::env::temp_dir().join(format!("stisan-gw-flightrec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 1 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 1 },
         workers: 1,
         flight_dir: Some(dir.clone()),
         ..quiet_cfg()
